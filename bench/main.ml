@@ -181,18 +181,23 @@ let engine_tests =
         (stage (fun () -> Tolerance.exhaustive ~jobs routing ~f:1)))
     scaling_jobs
   @ [
-    (* Sliced vs scalar, same binary, jobs=1: the engine-level win of
-       packing fault sets into word lanes. f=1 on n=25 only fills 26
-       of the 63 lanes, so f=2 (326 sets, mostly full slices) is the
-       representative amortisation point. *)
-    Test.make ~name:"engine:check_f1_scalar"
-      (stage (fun () ->
-           Tolerance.exhaustive ~jobs:1 ~engine:Tolerance.Scalar routing ~f:1));
+    (* f=1 on n=25 only fills 26 of the 63 lanes, so f=2 (326 sets,
+       mostly full slices) is the representative amortisation point. *)
     Test.make ~name:"engine:check_f2_sliced"
       (stage (fun () -> Tolerance.exhaustive ~jobs:1 routing ~f:2));
-    Test.make ~name:"engine:check_f2_scalar"
-      (stage (fun () ->
-           Tolerance.exhaustive ~jobs:1 ~engine:Tolerance.Scalar routing ~f:2));
+  ]
+  (* Past one machine word of vertices: the same sliced sweep on
+     n = 81, 128 and 144, jobs=1. *)
+  @ List.map
+      (fun (n, g) ->
+        let routing =
+          (Kernel.make g ~t:(Connectivity.vertex_connectivity g - 1)).Construction.routing
+        in
+        Test.make
+          ~name:(Printf.sprintf "engine:check_f2_n%d" n)
+          (stage (fun () -> Tolerance.exhaustive ~jobs:1 routing ~f:2)))
+      [ (81, Families.torus 9 9); (128, Families.hypercube 7); (144, Families.torus 12 12) ]
+  @ [
     Test.make ~name:"engine:check_f1_oneshot"
       (stage (fun () ->
            let compiled = Surviving.compile routing in
@@ -409,10 +414,6 @@ let json_of_rows rows ~quick =
   add
     (Printf.sprintf "check_f1_jobs%d_vs_jobs1" jobs_n)
     (speedup "engine:check_f1_jobs1" (Printf.sprintf "engine:check_f1_jobs%d" jobs_n));
-  (* Same-binary engine comparison: the default (sliced) jobs=1 rows
-     against the forced-scalar rows. *)
-  add "check_f1_sliced_vs_scalar" (speedup "engine:check_f1_scalar" "engine:check_f1_jobs1");
-  add "check_f2_sliced_vs_scalar" (speedup "engine:check_f2_scalar" "engine:check_f2_sliced");
   (match find_ns rows "attack:eval64_compiled" with
   | Some eval64 ->
       let oneshot_equiv = float_of_int evals_spent *. (eval64 /. 64.0) in

@@ -200,25 +200,8 @@ let jobs_arg =
            recommended domains). Verdicts are identical for every value; only \
            the wall-clock changes.")
 
-let engine_arg =
-  let engine_conv =
-    Arg.enum [ ("sliced", Tolerance.Sliced); ("scalar", Tolerance.Scalar) ]
-  in
-  Arg.(
-    value
-    & opt (some engine_conv) None
-    & info [ "engine" ] ~docv:"ENGINE"
-        ~doc:
-          "Evaluation engine for exact-diameter sweeps: $(b,sliced) (default; \
-           packs up to 63 fault sets as bit lanes of one word-parallel BFS, \
-           falling back to scalar when the graph exceeds one word per \
-           adjacency row) or $(b,scalar) (one BFS per fault set — the \
-           reference path the property tests compare against). Verdicts are \
-           identical either way. Bounded certification ($(b,--bound)) always \
-           uses the scalar early-exit path.")
-
 let tolerate_cmd =
-  let run g strategy seed faults jobs engine metrics trace =
+  let run g strategy seed faults jobs metrics trace =
     with_obs metrics trace @@ fun () ->
     match build_construction g strategy seed with
     | exception Invalid_argument msg ->
@@ -230,7 +213,7 @@ let tolerate_cmd =
         List.iter
           (fun (claim : Construction.claim) ->
             let f = Option.value faults ~default:claim.max_faults in
-            let v = Tolerance.evaluate ~rng ?jobs ?engine c ~f in
+            let v = Tolerance.evaluate ~rng ?jobs c ~f in
             let ok = Tolerance.respects v ~bound:claim.diameter_bound in
             if not ok then incr failures;
             Printf.printf "%-28s f=%d bound=%d worst=%s sets=%d%s -> %s\n" claim.source f
@@ -247,7 +230,7 @@ let tolerate_cmd =
     (Cmd.info "tolerate" ~doc:"fault-injection check of a construction's claims")
     Term.(
       const run $ graph_arg $ strategy_arg $ seed_arg $ faults_arg $ jobs_arg
-      $ engine_arg $ metrics_arg $ trace_arg)
+      $ metrics_arg $ trace_arg)
 
 (* ---------------- props ---------------- *)
 
@@ -349,7 +332,7 @@ let check_cmd =
              diameter: each BFS stops as soon as $(docv) is provably exceeded, \
              and enumeration stops early inside a violating block.")
   in
-  let run g file faults bound jobs engine metrics trace =
+  let run g file faults bound jobs metrics trace =
     with_obs metrics trace @@ fun () ->
     match In_channel.with_open_text file In_channel.input_all with
     | exception Sys_error e ->
@@ -393,7 +376,7 @@ let check_cmd =
                 1
               end
           | None -> (
-              match Tolerance.exhaustive ?jobs ?engine routing ~f with
+              match Tolerance.exhaustive ?jobs routing ~f with
               | v ->
                   Printf.printf
                     "worst surviving diameter over %d fault sets (<=%d faults): %s\n"
@@ -409,7 +392,7 @@ let check_cmd =
        ~doc:"load a saved route table and fault-check it against its graph")
     Term.(
       const run $ graph_arg $ file_arg $ faults_arg $ bound_arg $ jobs_arg
-      $ engine_arg $ metrics_arg $ trace_arg)
+      $ metrics_arg $ trace_arg)
 
 (* ---------------- attack ---------------- *)
 

@@ -891,18 +891,18 @@ let diameter_exceeds e ~bound =
 (* from each source advances all lanes at once: frontier words flow   *)
 (* source -> destination through the by-source route run, masked by   *)
 (* the route's liveness word. A sweep costs O(n * nroutes) word ops   *)
-(* for up to [lane_capacity] verdicts, against O(n * n) word ops per  *)
-(* single verdict for the scalar sweep — roughly a                    *)
-(* [lane_capacity / n] * (routes-per-pair) advantage, and the lanes   *)
-(* amortise the per-level bookkeeping besides.                        *)
+(* for up to [lane_capacity] verdicts, against O(n * n * w) word ops  *)
+(* per single verdict for the per-set evaluator, and the lanes        *)
+(* amortise the per-level bookkeeping besides. Every batch sweep in   *)
+(* Tolerance runs here; the evaluator above answers single sets.      *)
 (*                                                                    *)
-(* Verdict semantics match the scalar engine lane-for-lane: a lane    *)
+(* Verdict semantics match the evaluator lane-for-lane: a lane        *)
 (* with at most one alive vertex has diameter [Finite 0]; a lane      *)
 (* whose surviving graph is disconnected is [Infinite]; otherwise the *)
 (* exact worst eccentricity. Lanes retire from a source's BFS as      *)
 (* soon as they cover every alive vertex, and from the whole sweep    *)
 (* the moment one source proves disconnection (or the bound is        *)
-(* exceeded), exactly like the scalar early exits.                    *)
+(* exceeded), exactly like the evaluator's early exits.               *)
 (* ------------------------------------------------------------------ *)
 
 let lane_capacity = matrix_bits
@@ -918,15 +918,11 @@ type sliced = {
   mutable nlanes : int;
 }
 
-let sliced_capable c = c.w = 1
-
+(* The lanes run along the word, the vertices along the arrays: a
+   [sliced] value keeps one lane word per vertex and per route
+   position and never reads the word-row matrix, so it serves every
+   vertex count. *)
 let sliced c =
-  if not (sliced_capable c) then
-    invalid_arg
-      (Printf.sprintf
-         "Surviving.sliced: graph has %d vertices; the sliced evaluator needs \
-          single-word rows (n <= %d)"
-         c.n matrix_bits);
   let s =
     {
       sc = c;

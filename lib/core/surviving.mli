@@ -192,14 +192,10 @@ val lane_capacity : int
 (** Fault sets per slice: one per bit of the native int
     ([Sys.int_size], 63 on 64-bit). *)
 
-val sliced_capable : compiled -> bool
-(** Whether the sliced evaluator applies: the adjacency rows must fit
-    one machine word (vertex count at most [Sys.int_size]). Callers
-    fall back to the scalar evaluator otherwise. *)
-
 val sliced : compiled -> sliced
-(** A fresh sliced evaluator with zero lanes loaded. Raises
-    [Invalid_argument] when not {!sliced_capable}. *)
+(** A fresh sliced evaluator with zero lanes loaded. It allocates one
+    lane word per vertex (four times) and per route, for any vertex
+    count. *)
 
 val slice_reset : sliced -> unit
 (** Drop all lanes; the next {!slice_add} loads lane 0. *)
@@ -221,7 +217,7 @@ val slice_diameters : sliced -> Metrics.distance array
 val slice_exceeds : sliced -> bound:int -> int
 (** Bit mask over lanes: bit [k] is set iff lane [k]'s surviving
     diameter strictly exceeds [Finite bound] — lane-for-lane
-    {!diameter_exceeds}. Like the scalar bounded sweep, lanes stop as
+    {!diameter_exceeds}. Like the evaluator's bounded sweep, lanes stop as
     soon as the verdict is provable. *)
 
 (** {1 Sampled probes at scale}

@@ -17,23 +17,10 @@ type verdict = {
   definitive : bool;
 }
 
-(* Which evaluation engine sweeps the candidate sets. [Sliced] packs
-   up to [Surviving.lane_capacity] sets into the lanes of one
-   word-packed BFS and is the default wherever it applies (single-word
-   rows, i.e. n <= Sys.int_size); it silently degrades to [Scalar]
-   elsewhere. Verdicts and the deterministic Obs counters are
-   identical either way — [Scalar] survives as the cross-check the
-   property tests exercise. *)
-type engine = Scalar | Sliced
-
-(* Enumerations larger than this are not materialised for the sliced
-   engine (the set array would dominate memory); they fall back to the
-   scalar incremental sweep, which needs no random access. *)
-let sliced_materialize_cap = 200_000
-
-(* A slice tail shorter than this is swept scalar: a one-lane sweep
-   pays the slice bookkeeping for no amortisation. The threshold
-   depends only on the canonical set index, never on scheduling. *)
+(* A slice tail shorter than this is swept on the per-set evaluator: a
+   one-lane sweep pays the slice bookkeeping for no amortisation. The
+   threshold depends only on the canonical set index, never on
+   scheduling. *)
 let sliced_min_batch = 2
 
 (* Lazy enumeration of subsets of [items] of size exactly [k]. *)
@@ -67,64 +54,98 @@ let count_subsets_up_to ~n ~k =
     (fun acc x -> if acc + x < 0 then max_int else acc + x)
     0 c
 
+(* C(n, k), or [max_int] once a partial product would overflow (the
+   product is at most k times the next partial result). Callers only
+   ask for block sizes of an enumeration whose total fits an int. *)
+let binom n k =
+  if k < 0 || k > n then 0
+  else begin
+    let k = min k (n - k) in
+    let acc = ref 1 in
+    for i = 1 to k do
+      acc := if !acc > max_int / (n - k + i) then max_int else !acc * (n - k + i) / i
+    done;
+    !acc
+  end
+
 (* ------------------------------------------------------------------ *)
 (* Revolving-door subset enumeration.                                 *)
 (* ------------------------------------------------------------------ *)
 
 (* Knuth, TAOCP 7.2.1.3, Algorithm R: visit the k-subsets of [0, n)
    in a Gray order where consecutive subsets differ by exactly one
-   element swapped. Against an incremental evaluator this makes a
-   whole C(n, k) sweep cost one apply + one revert per subset. *)
+   element swapped. [gray_step] is one transition on the subset held
+   in increasing order in c.(1..k), with the sentinel c.(k+1) = n: it
+   moves to the next subset, reports the swap, and returns [false]
+   after the last subset instead. It reads nothing but [c], so a walk
+   may start from any subset [gray_unrank] places there. *)
+let gray_step c ~k ~swap =
+  let rec r4 j =
+    j <= k
+    &&
+    if c.(j) >= j then begin
+      let removed = c.(j) in
+      c.(j) <- c.(j - 1);
+      c.(j - 1) <- j - 2;
+      swap ~removed ~added:(j - 2);
+      true
+    end
+    else r5 (j + 1)
+  and r5 j =
+    j <= k
+    &&
+    if c.(j) + 1 < c.(j + 1) then begin
+      let removed = c.(j - 1) in
+      c.(j - 1) <- c.(j);
+      c.(j) <- c.(j) + 1;
+      swap ~removed ~added:c.(j);
+      true
+    end
+    else r4 (j + 1)
+  in
+  if k = 0 then false
+  else if k land 1 = 1 then
+    if c.(1) + 1 < c.(2) then begin
+      let removed = c.(1) in
+      c.(1) <- removed + 1;
+      swap ~removed ~added:(removed + 1);
+      true
+    end
+    else r4 2
+  else if c.(1) > 0 then begin
+    let removed = c.(1) in
+    c.(1) <- removed - 1;
+    swap ~removed ~added:(removed - 1);
+    true
+  end
+  else r5 2
+
+(* The [r]-th k-subset of [0, n) in Algorithm R's order, written to
+   c.(1..k) with the sentinel. The order lists the k-subsets of
+   [0, n - 1) first, then the (k - 1)-subsets of [0, n - 1) in reverse,
+   each joined with n - 1. *)
+let gray_unrank c ~n ~k r =
+  c.(k + 1) <- n;
+  let n = ref n and k = ref k and r = ref r in
+  while !k > 0 do
+    let first = binom (!n - 1) !k in
+    if !r >= first then begin
+      r := binom (!n - 1) (!k - 1) - 1 - (!r - first);
+      c.(!k) <- !n - 1;
+      decr k
+    end;
+    decr n
+  done
+
 let iter_combinations_gray ~n ~k ~first ~swap =
   if k < 0 then invalid_arg "Tolerance.iter_combinations_gray: negative size";
   if k > n then invalid_arg "Tolerance.iter_combinations_gray: size exceeds universe";
-  if k = 0 then first [||]
-  else begin
-    (* 1-based c.(1..k) is the current subset in increasing order;
-       c.(k+1) = n is the sentinel R5 compares against. *)
-    let c = Array.make (k + 2) 0 in
-    for j = 1 to k do
-      c.(j) <- j - 1
-    done;
-    c.(k + 1) <- n;
-    first (Array.init k (fun i -> c.(i + 1)));
-    let running = ref true in
-    let rec r4 j =
-      if j > k then running := false
-      else if c.(j) >= j then begin
-        let removed = c.(j) in
-        c.(j) <- c.(j - 1);
-        c.(j - 1) <- j - 2;
-        swap ~removed ~added:(j - 2)
-      end
-      else r5 (j + 1)
-    and r5 j =
-      if j > k then running := false
-      else if c.(j) + 1 < c.(j + 1) then begin
-        let removed = c.(j - 1) in
-        c.(j - 1) <- c.(j);
-        c.(j) <- c.(j) + 1;
-        swap ~removed ~added:c.(j)
-      end
-      else r4 (j + 1)
-    in
-    while !running do
-      if k land 1 = 1 then begin
-        if c.(1) + 1 < c.(2) then begin
-          let removed = c.(1) in
-          c.(1) <- removed + 1;
-          swap ~removed ~added:(removed + 1)
-        end
-        else r4 2
-      end
-      else if c.(1) > 0 then begin
-        let removed = c.(1) in
-        c.(1) <- removed - 1;
-        swap ~removed ~added:(removed - 1)
-      end
-      else r5 2
-    done
-  end
+  let c = Array.make (k + 2) 0 in
+  gray_unrank c ~n ~k 0;
+  first (Array.sub c 1 k);
+  while gray_step c ~k ~swap do
+    ()
+  done
 
 (* ------------------------------------------------------------------ *)
 (* Verdict assembly.                                                  *)
@@ -151,117 +172,14 @@ let merge_ordered = function
 let default_jobs () = Par.recommended_jobs ()
 
 (* ------------------------------------------------------------------ *)
-(* The shared sweep kernels.                                          *)
+(* The canonical enumeration.                                         *)
 (* ------------------------------------------------------------------ *)
 
-(* Scalar sweep over sets addressed by canonical index. [Par.chunk]
-   hands each domain a contiguous index range; the ordered merge makes
-   the verdict independent of the chunk boundaries. *)
-let sweep_sets_scalar ~jobs ~compiled ~count ~nodes_of ~edges_of ~report =
-  let verdicts =
-    Par.chunk ~jobs ~count
-      ~init:(fun () -> Surviving.evaluator compiled)
-      ~task:(fun ev ~lo ~hi ->
-        let worst = ref (Metrics.Finite (-1)) in
-        let witness = ref [] in
-        for i = lo to hi - 1 do
-          Surviving.set_mixed_faults ev ~nodes:(nodes_of i) ~edges:(edges_of i);
-          let d = Surviving.evaluator_diameter ev in
-          if not (Metrics.distance_le d !worst) then begin
-            worst := d;
-            witness := report i
-          end
-        done;
-        { worst = !worst; witness = !witness; sets_checked = hi - lo; definitive = false })
-  in
-  merge_ordered (Array.to_list verdicts)
-
-(* Bit-sliced sweep over the same index space. Slices are cut at fixed
-   canonical indexes (multiples of [lane_capacity]) and [Par.chunk]
-   distributes whole slices, so slice boundaries — and every engine
-   counter they feed — are independent of [jobs]. A short final tail
-   falls back to the per-domain scalar evaluator. *)
-let sweep_sets_sliced ~jobs ~compiled ~count ~nodes_of ~edges_of ~report =
-  let lanes = Surviving.lane_capacity in
-  let nslices = (count + lanes - 1) / lanes in
-  let verdicts =
-    Par.chunk ~jobs ~count:nslices
-      ~init:(fun () -> (Surviving.sliced compiled, Surviving.evaluator compiled))
-      ~task:(fun (sl, ev) ~lo ~hi ->
-        let worst = ref (Metrics.Finite (-1)) in
-        let witness = ref [] in
-        let checked = ref 0 in
-        let consider i d =
-          incr checked;
-          if not (Metrics.distance_le d !worst) then begin
-            worst := d;
-            witness := report i
-          end
-        in
-        for si = lo to hi - 1 do
-          let base = si * lanes in
-          let stop = min count (base + lanes) in
-          if stop - base >= sliced_min_batch then begin
-            Surviving.slice_reset sl;
-            for i = base to stop - 1 do
-              ignore (Surviving.slice_add sl ~nodes:(nodes_of i) ~edges:(edges_of i))
-            done;
-            let ds = Surviving.slice_diameters sl in
-            for i = base to stop - 1 do
-              consider i ds.(i - base)
-            done
-          end
-          else
-            for i = base to stop - 1 do
-              Surviving.set_mixed_faults ev ~nodes:(nodes_of i) ~edges:(edges_of i);
-              consider i (Surviving.evaluator_diameter ev)
-            done
-        done;
-        { worst = !worst; witness = !witness; sets_checked = !checked; definitive = false })
-  in
-  merge_ordered (Array.to_list verdicts)
-
-let sweep_sets ~engine ~jobs ~compiled ~count ~nodes_of ~edges_of ~report =
-  let sweep =
-    match engine with
-    | Sliced when Surviving.sliced_capable compiled -> sweep_sets_sliced
-    | _ -> sweep_sets_scalar
-  in
-  sweep ~jobs ~compiled ~count ~nodes_of ~edges_of ~report
-
-(* ------------------------------------------------------------------ *)
-(* Explicit set lists (random sampling, pools, corpus replay).        *)
-(* ------------------------------------------------------------------ *)
-
-let check_sets ?jobs ?(engine = Sliced) routing sets =
-  Obs.with_span "tolerance.check_sets" @@ fun () ->
-  let jobs = match jobs with Some j -> j | None -> default_jobs () in
-  let sets = Array.of_seq sets in
-  let count = Array.length sets in
-  if count = 0 then
-    { worst = Metrics.Finite 0; witness = []; sets_checked = 0; definitive = false }
-  else begin
-    let compiled = Surviving.compile_cached routing in
-    let deduped = Array.map (List.sort_uniq compare) sets in
-    let v =
-      sweep_sets ~engine ~jobs ~compiled ~count
-        ~nodes_of:(fun i -> deduped.(i))
-        ~edges_of:(fun _ -> [])
-        ~report:(fun i -> sets.(i))
-    in
-    Obs.add c_sets_checked v.sets_checked;
-    v
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Exhaustive enumeration.                                            *)
-(* ------------------------------------------------------------------ *)
-
-(* The canonical order enumerates by size, then by maximum element:
-   block (k, top) holds the C(top, k-1) sets {top} ∪ S with S a
-   (k-1)-subset of [0, top), swept in revolving-door order. The block
-   list depends only on (n, f), so it is the unit of parallelism AND
-   the definition of enumeration order. [top = -1] encodes the empty
+(* The canonical order: the empty set, then by size from [f] down to
+   1, then by maximum element from [n - 1] down. Block (k, top) holds
+   the C(top, k-1) sets {top} ∪ S with S a (k-1)-subset of [0, top), in
+   revolving-door order. The block list depends only on (n, f), so it
+   is the definition of enumeration order. [top = -1] encodes the empty
    set. *)
 type block = { b_size : int; b_top : int }
 
@@ -274,117 +192,196 @@ let blocks_up_to ~n ~f =
   done;
   Array.of_list (List.rev !acc)
 
-(* Sweep one block with an incremental evaluator, reporting each
-   subset to [consider] (which reads the evaluator's current state). *)
-let sweep_block ev block ~consider =
-  if block.b_top < 0 then begin
-    Surviving.reset ev;
-    consider ()
-  end
+(* The blocks plus their prefix sums: block [b] holds the canonical
+   indexes [starts.(b), starts.(b + 1)). *)
+type enumeration = { blocks : block array; starts : int array; width : int }
+
+let enumeration ~n ~f =
+  if count_subsets_up_to ~n ~k:f = max_int then
+    invalid_arg
+      (Printf.sprintf
+         "Tolerance: the fault sets of size <= %d over %d elements overflow an int" f n);
+  let blocks = blocks_up_to ~n ~f in
+  let starts = Array.make (Array.length blocks + 1) 0 in
+  Array.iteri
+    (fun b blk ->
+      let len = if blk.b_top < 0 then 1 else binom blk.b_top (blk.b_size - 1) in
+      starts.(b + 1) <- starts.(b) + len)
+    blocks;
+  { blocks; starts; width = min f n }
+
+let enum_count en = en.starts.(Array.length en.blocks)
+
+let no_swap ~removed:_ ~added:_ = ()
+
+(* Set generators: [source i] yields the sets from canonical index [i]
+   on, one per call. Over the enumeration, the block comes from a
+   binary search over the prefix sums and the subset inside it from
+   [gray_unrank]; then [c] holds Algorithm R's state for block [blk]'s
+   (b_size - 1)-subset of [0, b_top), stepped once per call. *)
+let enum_source en i =
+  let blk = ref 0 and hi = ref (Array.length en.blocks - 1) in
+  while !blk < !hi do
+    let mid = (!blk + !hi + 1) / 2 in
+    if en.starts.(mid) <= i then blk := mid else hi := mid - 1
+  done;
+  let c = Array.make (en.width + 2) 0 in
+  let enter r =
+    let b = en.blocks.(!blk) in
+    if b.b_top >= 0 then gray_unrank c ~n:b.b_top ~k:(b.b_size - 1) r
+  in
+  enter (i - en.starts.(!blk));
+  fun () ->
+    let b = en.blocks.(!blk) in
+    (* sorted: c.(1..k) is increasing and below [b_top] *)
+    let s = ref (if b.b_top < 0 then [] else [ b.b_top ]) in
+    for j = b.b_size - 1 downto 1 do
+      s := c.(j) :: !s
+    done;
+    if (not (b.b_top >= 0 && gray_step c ~k:(b.b_size - 1) ~swap:no_swap))
+       && !blk + 1 < Array.length en.blocks
+    then begin
+      incr blk;
+      enter 0
+    end;
+    !s
+
+let array_source arr i =
+  let j = ref i in
+  fun () ->
+    let s = arr.(!j) in
+    incr j;
+    s
+
+(* ------------------------------------------------------------------ *)
+(* The batch kernel.                                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* Fault sets name vertices or edge ids; the kernel serves both. *)
+type universe = Nodes | Edges
+
+let split universe s = match universe with Nodes -> (s, []) | Edges -> ([], s)
+
+(* The one batch sweep. Slices are cut at fixed canonical indexes
+   (multiples of [lane_capacity]) and [Par.chunk] hands each task a
+   contiguous range of whole slices, so slice contents — and every
+   engine counter they feed — are independent of [jobs]. A task starts
+   its generator at its first slice and walks on from there. Each
+   domain creates its sliced arena on its first full slice and its
+   evaluator on its first short tail: a one-set query never pays for
+   an arena. [init ~lo ~hi] makes a task's accumulator; [on_slice] sees
+   each loaded slice, [on_tail] each tail set loaded on the evaluator. *)
+let sweep_slices ~jobs ~compiled ~universe ~count ~source ~init ~on_slice ~on_tail =
+  let lanes = Surviving.lane_capacity in
+  Par.chunk ~jobs
+    ~count:((count + lanes - 1) / lanes)
+    ~init:(fun () -> (lazy (Surviving.sliced compiled), lazy (Surviving.evaluator compiled)))
+    ~task:(fun (sl, ev) ~lo ~hi ->
+      let acc = init ~lo ~hi in
+      let next = source (lo * lanes) in
+      for si = lo to hi - 1 do
+        let base = si * lanes in
+        let sets = Array.init (min count (base + lanes) - base) (fun _ -> next ()) in
+        if Array.length sets >= sliced_min_batch then begin
+          let sl = Lazy.force sl in
+          Surviving.slice_reset sl;
+          Array.iter
+            (fun s ->
+              let nodes, edges = split universe s in
+              ignore (Surviving.slice_add sl ~nodes ~edges))
+            sets;
+          on_slice acc si sets sl
+        end
+        else
+          Array.iteri
+            (fun j s ->
+              let ev = Lazy.force ev in
+              let nodes, edges = split universe s in
+              Surviving.set_mixed_faults ev ~nodes ~edges;
+              on_tail acc (base + j) s ev)
+            sets
+      done;
+      acc)
+
+type best = {
+  mutable b_worst : Metrics.distance;
+  mutable b_witness : int list;
+  mutable b_checked : int;
+}
+
+(* Exact diameters over [count] sets; the witness is [report i s] for
+   the first set [s] (canonical index [i]) reaching the worst. *)
+let sweep_diameters ~jobs ~compiled ~universe ~count ~source ~report =
+  let lanes = Surviving.lane_capacity in
+  let consider b i s d =
+    b.b_checked <- b.b_checked + 1;
+    if not (Metrics.distance_le d b.b_worst) then begin
+      b.b_worst <- d;
+      b.b_witness <- report i s
+    end
+  in
+  sweep_slices ~jobs ~compiled ~universe ~count ~source
+    ~init:(fun ~lo:_ ~hi:_ -> { b_worst = Metrics.Finite (-1); b_witness = []; b_checked = 0 })
+    ~on_slice:(fun b si sets sl ->
+      Array.iteri
+        (fun j d -> consider b ((si * lanes) + j) sets.(j) d)
+        (Surviving.slice_diameters sl))
+    ~on_tail:(fun b i s ev -> consider b i s (Surviving.evaluator_diameter ev))
+  |> Array.to_list
+  |> List.map (fun b ->
+         {
+           worst = b.b_worst;
+           witness = b.b_witness;
+           sets_checked = b.b_checked;
+           definitive = false;
+         })
+  |> merge_ordered
+
+let exhaustive_sweep ~jobs ~compiled ~universe ~n ~f =
+  let en = enumeration ~n ~f in
+  let v =
+    sweep_diameters ~jobs ~compiled ~universe ~count:(enum_count en) ~source:(enum_source en)
+      ~report:(fun _ s -> s)
+  in
+  { v with definitive = true }
+
+(* ------------------------------------------------------------------ *)
+(* Explicit set lists (random sampling, pools, corpus replay).        *)
+(* ------------------------------------------------------------------ *)
+
+let check_sets ?jobs routing sets =
+  Obs.with_span "tolerance.check_sets" @@ fun () ->
+  let jobs = match jobs with Some j -> j | None -> default_jobs () in
+  let sets = Array.of_seq sets in
+  let count = Array.length sets in
+  if count = 0 then
+    { worst = Metrics.Finite 0; witness = []; sets_checked = 0; definitive = false }
   else begin
-    Surviving.set_faults ev [ block.b_top ];
-    if block.b_size = 1 then consider ()
-    else
-      iter_combinations_gray ~n:block.b_top ~k:(block.b_size - 1)
-        ~first:(fun c ->
-          Array.iter (Surviving.apply_fault ev) c;
-          consider ())
-        ~swap:(fun ~removed ~added ->
-          Surviving.revert_fault ev removed;
-          Surviving.apply_fault ev added;
-          consider ())
+    let compiled = Surviving.compile_cached routing in
+    let v =
+      sweep_diameters ~jobs ~compiled ~universe:Nodes ~count
+        ~source:(array_source (Array.map (List.sort_uniq compare) sets))
+        ~report:(fun i _ -> sets.(i))
+    in
+    Obs.add c_sets_checked v.sets_checked;
+    v
   end
 
-(* The canonical enumeration as an array, for the sliced engine's
-   random access by index: element [i] is the [i]-th set of the block
-   order above, as a sorted list. Element order inside each block is
-   the revolving-door order, so the array IS the canonical order and
-   witnesses keep their [jobs]- and engine-independent identity. *)
-let materialize_sets ~n ~f =
-  let total = count_subsets_up_to ~n ~k:f in
-  let out = Array.make total [] in
-  let idx = ref 0 in
-  let push s =
-    out.(!idx) <- s;
-    incr idx
-  in
-  Array.iter
-    (fun block ->
-      if block.b_top < 0 then push []
-      else if block.b_size = 1 then push [ block.b_top ]
-      else begin
-        let k = block.b_size - 1 in
-        let cur = Array.make k 0 in
-        let emit () = push (Array.to_list cur @ [ block.b_top ]) in
-        iter_combinations_gray ~n:block.b_top ~k
-          ~first:(fun c ->
-            Array.blit c 0 cur 0 k;
-            emit ())
-          ~swap:(fun ~removed ~added ->
-            let j = ref 0 in
-            while cur.(!j) <> removed do
-              incr j
-            done;
-            cur.(!j) <- added;
-            Array.sort Int.compare cur;
-            emit ())
-      end)
-    (blocks_up_to ~n ~f);
-  out
+(* ------------------------------------------------------------------ *)
+(* Exhaustive enumeration.                                            *)
+(* ------------------------------------------------------------------ *)
 
-(* Scalar exhaustive sweep: [Par.chunk] hands each domain a contiguous
-   run of whole blocks (the old one-task-per-block split drowned
-   sub-millisecond blocks in pool wake/sync cost). *)
-let exhaustive_scalar ~jobs ~compiled ~blocks ~sweep ~faults_of =
-  let verdicts =
-    Par.chunk ~jobs ~count:(Array.length blocks)
-      ~init:(fun () -> Surviving.evaluator compiled)
-      ~task:(fun ev ~lo ~hi ->
-        let worst = ref (Metrics.Finite (-1)) in
-        let witness = ref [] in
-        let checked = ref 0 in
-        for i = lo to hi - 1 do
-          sweep ev blocks.(i) ~consider:(fun () ->
-              incr checked;
-              let d = Surviving.evaluator_diameter ev in
-              if not (Metrics.distance_le d !worst) then begin
-                worst := d;
-                witness := faults_of ev
-              end)
-        done;
-        { worst = !worst; witness = !witness; sets_checked = !checked; definitive = false })
-  in
-  merge_ordered (Array.to_list verdicts)
-
-let exhaustive ?jobs ?(engine = Sliced) routing ~f =
+let exhaustive ?jobs routing ~f =
   Obs.with_span "tolerance.exhaustive" @@ fun () ->
   let jobs = match jobs with Some j -> j | None -> default_jobs () in
   let n = Graph.n (Routing.graph routing) in
   let compiled = Surviving.compile_cached routing in
-  let total = count_subsets_up_to ~n ~k:f in
-  let use_sliced =
-    engine = Sliced
-    && Surviving.sliced_capable compiled
-    && total <= sliced_materialize_cap
-  in
-  let v =
-    if use_sliced then begin
-      let sets = materialize_sets ~n ~f in
-      sweep_sets_sliced ~jobs ~compiled ~count:total
-        ~nodes_of:(fun i -> sets.(i))
-        ~edges_of:(fun _ -> [])
-        ~report:(fun i -> sets.(i))
-    end
-    else
-      exhaustive_scalar ~jobs ~compiled ~blocks:(blocks_up_to ~n ~f)
-        ~sweep:sweep_block ~faults_of:Surviving.faults
-  in
-  let v = { v with definitive = true } in
+  let v = exhaustive_sweep ~jobs ~compiled ~universe:Nodes ~n ~f in
   Obs.add c_sets_checked v.sets_checked;
   v
 
 (* ------------------------------------------------------------------ *)
-(* Bound certification (early-exit).                                  *)
+(* Bound certification.                                               *)
 (* ------------------------------------------------------------------ *)
 
 type certificate = {
@@ -393,50 +390,55 @@ type certificate = {
   cert_sets_checked : int;
 }
 
-(* Certification keeps the scalar evaluator: the early exit inside a
-   violating block stops at the FIRST bad set, which a whole-slice
-   sweep would overshoot (and the early-exit counters must stay
-   byte-identical across [jobs]). Blocks are still grouped into
-   [Par.chunk] ranges; each block keeps its own [Stop] and no block is
-   skipped, so [checked] and the per-block early-exit count depend on
-   the block list alone. *)
-let certify_blocks ~jobs ~compiled ~blocks ~sweep ~faults_of ~bound =
-  let exception Stop in
-  let results =
-    Par.chunk ~jobs ~count:(Array.length blocks)
-      ~init:(fun () -> Surviving.evaluator compiled)
-      ~task:(fun ev ~lo ~hi ->
-        let checked = ref 0 in
-        let early = ref 0 in
-        let cex = ref None in
-        for i = lo to hi - 1 do
-          let bcex = ref None in
-          (try
-             sweep ev blocks.(i) ~consider:(fun () ->
-                 incr checked;
-                 if Surviving.diameter_exceeds ev ~bound then begin
-                   bcex := Some (faults_of ev);
-                   raise Stop
-                 end)
-           with Stop -> ());
-          match !bcex with
-          | Some _ ->
-              incr early;
-              if !cex = None then cex := !bcex
-          | None -> ()
-        done;
-        (!cex, !checked, !early))
+(* Certification sweeps every canonical slice with [slice_exceeds] and
+   keeps the sealed-lane masks, one word per slice. The verdict and its
+   counters then come from the masks alone, block by block: a block
+   counts its sets up to and including its first violating set, and a
+   block with a violation counts one early exit. The lanes swept after
+   a block's first violation are not counted, so [checked] and the
+   early-exit count are those of a per-block sweep that stops at the
+   first counterexample, and depend on the block list alone. *)
+let certify_sweep ~jobs ~compiled ~universe ~n ~f ~bound =
+  let lanes = Surviving.lane_capacity in
+  let en = enumeration ~n ~f in
+  let masks =
+    sweep_slices ~jobs ~compiled ~universe ~count:(enum_count en) ~source:(enum_source en)
+      ~init:(fun ~lo ~hi -> (lo, Array.make (hi - lo) 0))
+      ~on_slice:(fun (lo, m) si _ sl -> m.(si - lo) <- Surviving.slice_exceeds sl ~bound)
+      ~on_tail:(fun (lo, m) i _ ev ->
+        if Surviving.diameter_exceeds ev ~bound then
+          m.((i / lanes) - lo) <- m.((i / lanes) - lo) lor (1 lsl (i mod lanes)))
+    |> Array.to_list |> List.map snd |> Array.concat
   in
-  let checked = Array.fold_left (fun acc (_, c, _) -> acc + c) 0 results in
-  let early = Array.fold_left (fun acc (_, _, e) -> acc + e) 0 results in
+  (* The first violating canonical index in [lo, hi), or [hi]. *)
+  let rec first_violation lo hi =
+    if lo >= hi then hi
+    else begin
+      let si = lo / lanes in
+      let m = masks.(si) land (-1 lsl (lo mod lanes)) in
+      let m = m land Bitset.mask (min lanes (hi - (si * lanes))) in
+      if m <> 0 then (si * lanes) + Bitset.lowest_bit_index m
+      else first_violation ((si + 1) * lanes) hi
+    end
+  in
+  let checked = ref 0 and early = ref 0 and first = ref (-1) in
+  Array.iteri
+    (fun b _ ->
+      let lo = en.starts.(b) and hi = en.starts.(b + 1) in
+      let v = first_violation lo hi in
+      if v = hi then checked := !checked + (hi - lo)
+      else begin
+        checked := !checked + (v - lo + 1);
+        incr early;
+        if !first < 0 then first := v
+      end)
+    en.blocks;
+  Obs.add c_certify_sets !checked;
+  Obs.add c_certify_early !early;
   let counterexample =
-    Array.fold_left
-      (fun acc (cex, _, _) -> match acc with Some _ -> acc | None -> cex)
-      None results
+    if !first < 0 then None else Some (enum_source en !first ())
   in
-  Obs.add c_certify_sets checked;
-  Obs.add c_certify_early early;
-  (counterexample, checked)
+  (counterexample, !checked)
 
 let certify ?jobs routing ~f ~bound =
   Obs.with_span "tolerance.certify" @@ fun () ->
@@ -444,10 +446,7 @@ let certify ?jobs routing ~f ~bound =
   let jobs = match jobs with Some j -> j | None -> default_jobs () in
   let n = Graph.n (Routing.graph routing) in
   let compiled = Surviving.compile_cached routing in
-  let counterexample, checked =
-    certify_blocks ~jobs ~compiled ~blocks:(blocks_up_to ~n ~f) ~sweep:sweep_block
-      ~faults_of:Surviving.faults ~bound
-  in
+  let counterexample, checked = certify_sweep ~jobs ~compiled ~universe:Nodes ~n ~f ~bound in
   { holds = counterexample = None; counterexample; cert_sets_checked = checked }
 
 (* ------------------------------------------------------------------ *)
@@ -464,7 +463,7 @@ let random_subset rng n f =
   done;
   Hashtbl.fold (fun v () acc -> v :: acc) chosen [] |> List.sort Int.compare
 
-let random ?jobs ?engine routing ~f ~rng ~samples =
+let random ?jobs routing ~f ~rng ~samples =
   let n = Graph.n (Routing.graph routing) in
   let f = min f n in
   (* Draw every sample from the caller's RNG before evaluating, so the
@@ -474,9 +473,9 @@ let random ?jobs ?engine routing ~f ~rng ~samples =
     acc := random_subset rng n f :: !acc
   done;
   let sets = [] :: List.rev !acc in
-  check_sets ?jobs ?engine routing (List.to_seq sets)
+  check_sets ?jobs routing (List.to_seq sets)
 
-let adversarial ?(per_pool_cap = 2000) ?jobs ?engine routing ~f ~pools =
+let adversarial ?(per_pool_cap = 2000) ?jobs routing ~f ~pools =
   (* Pools overlap (the concentrator reappears in its members'
      neighborhoods), so identical subsets would be re-evaluated and
      inflate [sets_checked]; dedupe across pools, after the per-pool
@@ -500,7 +499,7 @@ let adversarial ?(per_pool_cap = 2000) ?jobs ?engine routing ~f ~pools =
         end)
       sets
   in
-  check_sets ?jobs ?engine routing deduped
+  check_sets ?jobs routing deduped
 
 (* ------------------------------------------------------------------ *)
 (* Sampled probing at scale.                                          *)
@@ -614,6 +613,10 @@ let sampled ?jobs ?(pools = []) ?probe_budget routing ~f ~bound ~rng ~sets ~pair
                 end
               end
             done;
+            (* The bitset is this domain's for every later task too:
+               leave it empty, or the next task probes with stale
+               faults. *)
+            if !cur >= 0 then List.iter (Bitset.remove faults) set_arr.(!cur);
             (!worst, !wfaults, !wpair, !probed))
       in
       (* Ordered merge, earlier witness wins ties: [jobs]-independent. *)
@@ -647,9 +650,9 @@ let sampled ?jobs ?(pools = []) ?probe_budget routing ~f ~bound ~rng ~sets ~pair
 (* Edge-fault variants.                                               *)
 (*                                                                    *)
 (* Same canonical enumeration order (by size, then by maximum         *)
-(* element, Gray-swept blocks) and the same ordered merge, but over   *)
-(* the compiled table's edge universe. Witnesses surface as           *)
-(* normalised (min, max) endpoint pairs.                              *)
+(* element, revolving-door blocks), the same batch kernel and the     *)
+(* same ordered merge, but over the compiled table's edge universe.   *)
+(* Witnesses surface as normalised (min, max) endpoint pairs.         *)
 (* ------------------------------------------------------------------ *)
 
 type edge_verdict = {
@@ -668,6 +671,10 @@ let edge_ids_exn compiled pairs =
           invalid_arg (Printf.sprintf "Tolerance: (%d, %d) is not a graph edge" u v))
     pairs
 
+(* The reduction compares two diameters per set, one of them over a
+   target subset, so it sweeps each block on incremental evaluators in
+   revolving-door order, paying one edge swap per set, and reports
+   every set to [consider] (which reads the evaluator's state). *)
 let sweep_block_edges ev block ~consider =
   if block.b_top < 0 then begin
     Surviving.reset ev;
@@ -687,7 +694,7 @@ let sweep_block_edges ev block ~consider =
           consider ())
   end
 
-let check_edge_sets ?jobs ?(engine = Sliced) routing sets =
+let check_edge_sets ?jobs routing sets =
   Obs.with_span "tolerance.check_edge_sets" @@ fun () ->
   let jobs = match jobs with Some j -> j | None -> default_jobs () in
   let compiled = Surviving.compile_cached routing in
@@ -701,10 +708,8 @@ let check_edge_sets ?jobs ?(engine = Sliced) routing sets =
     { e_worst = Metrics.Finite 0; e_witness = []; e_sets_checked = 0; e_definitive = false }
   else begin
     let v =
-      sweep_sets ~engine ~jobs ~compiled ~count
-        ~nodes_of:(fun _ -> [])
-        ~edges_of:(fun i -> sets.(i))
-        ~report:(fun i -> sets.(i))
+      sweep_diameters ~jobs ~compiled ~universe:Edges ~count ~source:(array_source sets)
+        ~report:(fun _ s -> s)
     in
     Obs.add c_sets_checked v.sets_checked;
     {
@@ -715,30 +720,13 @@ let check_edge_sets ?jobs ?(engine = Sliced) routing sets =
     }
   end
 
-let exhaustive_edges ?jobs ?(engine = Sliced) routing ~f =
+let exhaustive_edges ?jobs routing ~f =
   Obs.with_span "tolerance.exhaustive_edges" @@ fun () ->
   let jobs = match jobs with Some j -> j | None -> default_jobs () in
   let compiled = Surviving.compile_cached routing in
-  let m = Surviving.edge_count compiled in
-  let total = count_subsets_up_to ~n:m ~k:f in
-  let use_sliced =
-    engine = Sliced
-    && Surviving.sliced_capable compiled
-    && total <= sliced_materialize_cap
-  in
   let v =
-    if use_sliced then begin
-      let sets = materialize_sets ~n:m ~f in
-      sweep_sets_sliced ~jobs ~compiled ~count:total
-        ~nodes_of:(fun _ -> [])
-        ~edges_of:(fun i -> sets.(i))
-        ~report:(fun i -> sets.(i))
-    end
-    else
-      exhaustive_scalar ~jobs ~compiled ~blocks:(blocks_up_to ~n:m ~f)
-        ~sweep:sweep_block_edges ~faults_of:Surviving.edge_faults
+    exhaustive_sweep ~jobs ~compiled ~universe:Edges ~n:(Surviving.edge_count compiled) ~f
   in
-  let v = { v with definitive = true } in
   Obs.add c_sets_checked v.sets_checked;
   {
     e_worst = v.worst;
@@ -758,10 +746,9 @@ let certify_edges ?jobs routing ~f ~bound =
   Obs.incr c_certify_runs;
   let jobs = match jobs with Some j -> j | None -> default_jobs () in
   let compiled = Surviving.compile_cached routing in
-  let m = Surviving.edge_count compiled in
   let counterexample, checked =
-    certify_blocks ~jobs ~compiled ~blocks:(blocks_up_to ~n:m ~f)
-      ~sweep:sweep_block_edges ~faults_of:Surviving.edge_faults ~bound
+    certify_sweep ~jobs ~compiled ~universe:Edges ~n:(Surviving.edge_count compiled) ~f
+      ~bound
   in
   {
     e_holds = counterexample = None;
@@ -770,7 +757,7 @@ let certify_edges ?jobs routing ~f ~bound =
     e_cert_sets_checked = checked;
   }
 
-let random_edges ?jobs ?engine routing ~f ~rng ~samples =
+let random_edges ?jobs routing ~f ~rng ~samples =
   let compiled = Surviving.compile_cached routing in
   let m = Surviving.edge_count compiled in
   let f = min f m in
@@ -781,7 +768,7 @@ let random_edges ?jobs ?engine routing ~f ~rng ~samples =
     acc := List.map (Surviving.edge_pair compiled) (random_subset rng m f) :: !acc
   done;
   let sets = [] :: List.rev !acc in
-  check_edge_sets ?jobs ?engine routing (List.to_seq sets)
+  check_edge_sets ?jobs routing (List.to_seq sets)
 
 (* ------------------------------------------------------------------ *)
 (* The paper's edge-fault reduction, checked set by set.              *)
@@ -868,12 +855,12 @@ let reduction ?jobs routing ~f =
     results
 
 let evaluate ?(exhaustive_budget = 20_000) ?(samples = 300)
-    ?(attack_budget = Attack.default_config.Attack.budget) ?(corpus = []) ?jobs ?engine
+    ?(attack_budget = Attack.default_config.Attack.budget) ?(corpus = []) ?jobs
     ~rng (c : Construction.t) ~f =
   let routing = c.Construction.routing in
   let n = Graph.n (Routing.graph routing) in
   if count_subsets_up_to ~n ~k:f <= exhaustive_budget then
-    exhaustive ?jobs ?engine routing ~f
+    exhaustive ?jobs routing ~f
   else begin
     (* Stored witnesses replay first: a regression against the corpus
        should surface even if every fresh search misses it. *)
@@ -883,15 +870,15 @@ let evaluate ?(exhaustive_budget = 20_000) ?(samples = 300)
       | sets ->
           Obs.with_span "tolerance.evaluate.replay" @@ fun () ->
           Obs.add c_corpus_replayed (List.length sets);
-          Some (check_sets ?jobs ?engine routing (List.to_seq sets))
+          Some (check_sets ?jobs routing (List.to_seq sets))
     in
     let adv =
       Obs.with_span "tolerance.evaluate.adversarial" @@ fun () ->
-      adversarial ?jobs ?engine routing ~f ~pools:c.Construction.pools
+      adversarial ?jobs routing ~f ~pools:c.Construction.pools
     in
     let rnd =
       Obs.with_span "tolerance.evaluate.random" @@ fun () ->
-      random ?jobs ?engine routing ~f ~rng ~samples
+      random ?jobs routing ~f ~rng ~samples
     in
     let atk =
       if attack_budget <= 0 then None

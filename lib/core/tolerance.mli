@@ -7,15 +7,20 @@
     critical (the concentrator, single neighborhoods, minimum cuts) —
     with seeded uniform sampling.
 
-    Every checker here runs on the incremental
-    {!Surviving.evaluator}: exhaustive enumeration sweeps each block
-    of fault sets in revolving-door (Gray) order, paying one fault
-    swap per set, and blocks are distributed over a {!Par} worker
-    pool. Merging follows the enumeration order with
-    earlier-witness-wins ties, so for every [?jobs] value (default
-    [Domain.recommended_domain_count ()]) the verdict — worst,
-    witness, [sets_checked] — is bit-identical to the sequential
-    run. *)
+    Every batch checker here runs on one kernel, the bit-sliced
+    {!Surviving.sliced} evaluator: candidate sets are cut, in their
+    canonical order, into slices of {!Surviving.lane_capacity} sets,
+    one word-parallel BFS per source answers a whole slice, and whole
+    slices are distributed over a {!Par} worker pool. Exhaustive
+    enumeration streams its slices: each task finds its first set from
+    the block-size prefix sums and walks the revolving-door (Gray)
+    order from there, so no set array is built. A batch with no full
+    slice (a one-set query) runs on the per-set incremental
+    {!Surviving.evaluator} instead. Merging follows the enumeration
+    order with earlier-witness-wins ties, so for every [?jobs] value
+    (default [Domain.recommended_domain_count ()]) the verdict —
+    worst, witness, [sets_checked] — is bit-identical to the
+    sequential run. *)
 
 open Ftr_graph
 
@@ -25,15 +30,6 @@ type verdict = {
   sets_checked : int;
   definitive : bool;  (** true when enumeration was exhaustive *)
 }
-
-type engine = Scalar | Sliced
-(** How candidate sets are swept. [Sliced] (the default) batches up to
-    {!Surviving.lane_capacity} sets into the lanes of one word-packed
-    BFS ({!Surviving.sliced}); it degrades to [Scalar] automatically
-    when the instance is too large for single-word rows or the
-    enumeration is too large to materialise. [Scalar] forces the
-    per-set incremental evaluator. Verdicts are bit-identical either
-    way; [Scalar] remains as the property tests' cross-check. *)
 
 val subsets_up_to : int list -> int -> int list Seq.t
 (** All subsets of the list with size [<= k] (including the empty
@@ -53,16 +49,17 @@ val iter_combinations_gray :
     every transition to the next subset swaps exactly one element out
     and one in. Exposed for the engine's tests. *)
 
-val check_sets : ?jobs:int -> ?engine:engine -> Routing.t -> int list Seq.t -> verdict
+val check_sets : ?jobs:int -> Routing.t -> int list Seq.t -> verdict
 (** Evaluate the surviving diameter on each fault set of the sequence
     (marked non-definitive). The witness is the first set, in sequence
     order, achieving the worst diameter, regardless of [jobs]. *)
 
-val exhaustive : ?jobs:int -> ?engine:engine -> Routing.t -> f:int -> verdict
-(** All fault sets of size [<= f]; definitive. Enumerates by size,
-    then by maximum element; the sliced engine sweeps the enumeration
-    [lane_capacity] sets at a time, the scalar engine sweeps each
-    block in Gray order on an incremental evaluator. *)
+val exhaustive : ?jobs:int -> Routing.t -> f:int -> verdict
+(** All fault sets of size [<= f]; definitive. Enumerates the empty
+    set, then by size from [f] down, then by maximum element from
+    [n - 1] down, each block in revolving-door order, and sweeps the
+    enumeration [lane_capacity] sets at a time. Raises
+    [Invalid_argument] when the number of sets overflows an int. *)
 
 type certificate = {
   holds : bool;  (** no checked set exceeded the bound *)
@@ -73,13 +70,16 @@ type certificate = {
 
 val certify : ?jobs:int -> Routing.t -> f:int -> bound:int -> certificate
 (** Exhaustively certify "(bound, f)-tolerant" without computing exact
-    diameters: each BFS stops as soon as the bound is provably
-    exceeded ({!Surviving.diameter_exceeds}), and a violating block
-    stops at its first counterexample. *)
+    diameters: each lane's BFS stops as soon as the bound is provably
+    exceeded ({!Surviving.slice_exceeds}). The result and the
+    [tolerance.certify.*] counters are those of a per-block sweep that
+    stops at each block's first counterexample: [cert_sets_checked]
+    counts every block's sets up to and including its first violating
+    set, and [counterexample] is the first violating set in
+    enumeration order. *)
 
 val random :
   ?jobs:int ->
-  ?engine:engine ->
   Routing.t ->
   f:int ->
   rng:Random.State.t ->
@@ -92,7 +92,6 @@ val random :
 val adversarial :
   ?per_pool_cap:int ->
   ?jobs:int ->
-  ?engine:engine ->
   Routing.t ->
   f:int ->
   pools:int list list ->
@@ -152,7 +151,7 @@ val sampled :
 
     The same machinery over the graph's edge universe: first-class
     link faults kill exactly the routes traversing the downed edge,
-    while both endpoints stay alive. Enumeration order, Gray sweeps,
+    while both endpoints stay alive. Enumeration order, the batch kernel,
     and the ordered merge are shared with the node checkers, so these
     verdicts are also bit-identical for every [?jobs] value. Edge sets
     surface as normalised [(min, max)] endpoint pairs. *)
@@ -165,12 +164,12 @@ type edge_verdict = {
 }
 
 val check_edge_sets :
-  ?jobs:int -> ?engine:engine -> Routing.t -> (int * int) list Seq.t -> edge_verdict
+  ?jobs:int -> Routing.t -> (int * int) list Seq.t -> edge_verdict
 (** Evaluate the surviving diameter on each edge-fault set of the
     sequence. Raises [Invalid_argument] if a listed pair is not an
     edge of the routing's graph. *)
 
-val exhaustive_edges : ?jobs:int -> ?engine:engine -> Routing.t -> f:int -> edge_verdict
+val exhaustive_edges : ?jobs:int -> Routing.t -> f:int -> edge_verdict
 (** All edge-fault sets of size [<= f]; definitive. *)
 
 type edge_certificate = {
@@ -185,7 +184,6 @@ val certify_edges : ?jobs:int -> Routing.t -> f:int -> bound:int -> edge_certifi
 
 val random_edges :
   ?jobs:int ->
-  ?engine:engine ->
   Routing.t ->
   f:int ->
   rng:Random.State.t ->
@@ -223,7 +221,6 @@ val evaluate :
   ?attack_budget:int ->
   ?corpus:Attack.Corpus.entry list ->
   ?jobs:int ->
-  ?engine:engine ->
   rng:Random.State.t ->
   Construction.t ->
   f:int ->

@@ -596,52 +596,71 @@ let test_search_mixed_jobs_independent () =
 
 (* ---------------- the bit-sliced evaluator ---------------- *)
 
-(* A random instance plus a batch of up to [lane_capacity] mixed fault
-   sets: the sliced engine must answer every lane exactly as the
-   scalar evaluator answers the corresponding set. *)
-let arb_sliced_batch =
+(* Instances on both sides of one machine word of vertices (the
+   sliced engine keeps one lane word per vertex, so n > 63 must change
+   nothing), up to n = 200. *)
+let wide_cycle_gen =
+  QCheck.Gen.(
+    frequency
+      [ (1, chorded_cycle_gen ~nmin:4 ~nmax:24); (1, chorded_cycle_gen ~nmin:60 ~nmax:200) ])
+
+(* A random instance plus a batch of 2 to [lane_capacity] fault sets
+   drawn from [universe] (node ids, graph edges, or both), and up to
+   five lanes to hold against the oracle. *)
+let arb_sliced_batch universe =
+  let print_set (nodes, edges) =
+    Printf.sprintf "F={%s} E={%s}"
+      (String.concat "," (List.map string_of_int nodes))
+      (String.concat "," (List.map (fun (u, v) -> Printf.sprintf "%d-%d" u v) edges))
+  in
   QCheck.make
-    ~print:(fun (g, sets) ->
-      Printf.sprintf "%s batch=%d [%s]" (graph_print g) (List.length sets)
-        (String.concat "; "
-           (List.map
-              (fun (nodes, edges) ->
-                Printf.sprintf "F={%s} E={%s}"
-                  (String.concat "," (List.map string_of_int nodes))
-                  (String.concat ","
-                     (List.map (fun (u, v) -> Printf.sprintf "%d-%d" u v) edges)))
-              sets)))
+    ~print:(fun (g, sets, probe) ->
+      Printf.sprintf "%s batch=%d probe=[%s] [%s]" (graph_print g) (List.length sets)
+        (String.concat "," (List.map string_of_int probe))
+        (String.concat "; " (List.map print_set sets)))
     QCheck.Gen.(
-      let* g = chorded_cycle_gen ~nmin:4 ~nmax:12 in
+      let* g = wide_cycle_gen in
       let n = Graph.n g in
-      let all_edges = Graph.edges g in
-      let m = List.length all_edges in
+      let all_edges = Array.of_list (Graph.edges g) in
+      let m = Array.length all_edges in
       let* seed = int_range 0 1_000_000 in
       let rng = Random.State.make [| seed |] in
-      let nsets = 1 + Random.State.int rng (Surviving.lane_capacity - 1) in
+      let nsets = 2 + Random.State.int rng (Surviving.lane_capacity - 1) in
+      let draw k pick =
+        List.sort_uniq compare (List.init (Random.State.int rng (k + 1)) (fun _ -> pick ()))
+      in
       let sets =
         List.init nsets (fun _ ->
-            let nf = Random.State.int rng (min 4 n) in
             let nodes =
-              List.sort_uniq compare (List.init nf (fun _ -> Random.State.int rng n))
+              if universe = `Edges then []
+              else draw (min 4 (n - 1)) (fun () -> Random.State.int rng n)
             in
-            let ef = Random.State.int rng (min 4 m) in
             let edges =
-              List.sort_uniq compare
-                (List.init ef (fun _ -> List.nth all_edges (Random.State.int rng m)))
+              if universe = `Nodes then []
+              else draw (min 4 m) (fun () -> all_edges.(Random.State.int rng m))
             in
             (nodes, edges))
       in
-      return (g, sets))
+      let probe =
+        List.sort_uniq compare
+          (0 :: (nsets - 1) :: List.init 3 (fun _ -> Random.State.int rng nsets))
+      in
+      return (g, sets, probe))
 
-let prop_sliced_lanes_match_scalar =
-  QCheck.Test.make ~name:"sliced lanes = per-set evaluator (nodes/edges/mixed)"
-    ~count:40 arb_sliced_batch
-    (fun (g, sets) ->
+(* Every lane of a slice against the per-set evaluator, and the probed
+   lanes against the uncompiled reference: [Surviving.diameter] for
+   node faults, [Fault_model.diameter] (the same uncompiled surviving
+   graph, with link faults) otherwise. Both [slice_diameters] and the
+   [slice_exceeds] masks, for bounds -1 to 6. *)
+let prop_sliced_lanes_match_oracle (universe, label) =
+  QCheck.Test.make
+    ~name:(Printf.sprintf "sliced lanes = oracle, %s faults" label)
+    ~count:12 (arb_sliced_batch universe)
+    (fun (g, sets, probe) ->
       assume_not_complete g;
       let routing = routing_of g in
+      let n = Graph.n g in
       let compiled = Surviving.compile routing in
-      QCheck.assume (Surviving.sliced_capable compiled);
       let ids =
         List.map
           (fun (nodes, edges) ->
@@ -656,42 +675,179 @@ let prop_sliced_lanes_match_scalar =
       in
       let s = Surviving.sliced compiled in
       List.iter (fun (nodes, edges) -> ignore (Surviving.slice_add s ~nodes ~edges)) ids;
+      let lanes = Surviving.slice_diameters s in
+      let bounds = List.init 8 (fun b -> b - 1) in
+      let masks = List.map (fun bound -> (bound, Surviving.slice_exceeds s ~bound)) bounds in
+      let lane_agrees k d =
+        lanes.(k) = d
+        && List.for_all
+             (fun (bound, mask) ->
+               (mask land (1 lsl k) <> 0) = not (Metrics.distance_le d (Metrics.Finite bound)))
+             masks
+      in
       let ev = Surviving.evaluator compiled in
-      let scalar_of f =
-        List.map
-          (fun (nodes, edges) ->
-            Surviving.set_mixed_faults ev ~nodes ~edges;
-            f ())
-          ids
+      let evaluator_ok =
+        List.for_all Fun.id
+          (List.mapi
+             (fun k (nodes, edges) ->
+               Surviving.set_mixed_faults ev ~nodes ~edges;
+               lane_agrees k (Surviving.evaluator_diameter ev))
+             ids)
       in
-      let lanes_ok =
-        List.for_all2 ( = )
-          (Array.to_list (Surviving.slice_diameters s))
-          (scalar_of (fun () -> Surviving.evaluator_diameter ev))
+      let oracle (nodes, edges) =
+        if edges = [] then Surviving.diameter routing ~faults:(Bitset.of_list n nodes)
+        else begin
+          let fm = Fault_model.create g in
+          List.iter (Fault_model.fail_node fm) nodes;
+          List.iter (fun (u, v) -> Fault_model.fail_edge fm u v) edges;
+          Fault_model.diameter routing fm
+        end
       in
-      let exceeds_ok =
-        List.for_all
-          (fun bound ->
-            let mask = Surviving.slice_exceeds s ~bound in
-            List.for_all2 ( = )
-              (List.init (List.length ids) (fun k -> mask land (1 lsl k) <> 0))
-              (scalar_of (fun () -> Surviving.diameter_exceeds ev ~bound)))
-          (List.init 7 (fun b -> b - 1))
+      let oracle_ok =
+        List.for_all (fun k -> lane_agrees k (oracle (List.nth sets k))) probe
       in
-      lanes_ok && exceeds_ok)
+      evaluator_ok && oracle_ok)
 
-let prop_exhaustive_engines_agree =
-  QCheck.Test.make ~name:"exhaustive: sliced = scalar verdict (nodes and edges)"
-    ~count:25
-    (QCheck.make ~print:graph_print (chorded_cycle_gen ~nmin:4 ~nmax:9))
-    (fun g ->
+(* The canonical order spelled out independently: the empty set, then
+   by size from [f] down to 1, then by maximum element [top] from
+   [n - 1] down, each block's (k-1)-subsets of [0, top) in the order
+   [iter_combinations_gray] visits them. *)
+let canonical_blocks ~n ~f =
+  [ [] ]
+  :: List.concat_map
+       (fun k ->
+         List.init (n - k + 1) (fun i ->
+             let top = n - 1 - i in
+             let acc = ref [] in
+             let cur = ref [] in
+             let emit () = acc := (List.sort compare !cur @ [ top ]) :: !acc in
+             Tolerance.iter_combinations_gray ~n:top ~k:(k - 1)
+               ~first:(fun c ->
+                 cur := Array.to_list c;
+                 emit ())
+               ~swap:(fun ~removed ~added ->
+                 cur := added :: List.filter (( <> ) removed) !cur;
+                 emit ());
+             List.rev !acc))
+       (List.init (min f n) (fun i -> min f n - i))
+
+let arb_small_instance =
+  QCheck.make
+    ~print:(fun (g, f, bound) -> Printf.sprintf "%s f=%d bound=%d" (graph_print g) f bound)
+    QCheck.Gen.(
+      let* g = chorded_cycle_gen ~nmin:4 ~nmax:16 in
+      let* f = int_range 1 (if Graph.n g <= 9 then 3 else 2) in
+      let* bound = int_range (-1) 6 in
+      return (g, f, bound))
+
+(* Per-set uncompiled references over a universe: node ids, or edge
+   ids of the compiled table. *)
+let universe_oracles g routing =
+  let n = Graph.n g in
+  let compiled = Surviving.compile routing in
+  let edge_oracle ids =
+    let fm = Fault_model.create g in
+    List.iter
+      (fun e ->
+        let u, v = Surviving.edge_pair compiled e in
+        Fault_model.fail_edge fm u v)
+      ids;
+    Fault_model.diameter routing fm
+  in
+  [
+    (`Nodes, n, fun s -> Surviving.diameter routing ~faults:(Bitset.of_list n s));
+    (`Edges, Surviving.edge_count compiled, edge_oracle);
+  ]
+
+(* exhaustive / exhaustive_edges against a sweep of the spelled-out
+   canonical order: worst, first witness in that order, set count. *)
+let prop_exhaustive_matches_canonical =
+  QCheck.Test.make ~name:"exhaustive = canonical brute force" ~count:20 arb_small_instance
+    (fun (g, f, _) ->
       assume_not_complete g;
       let routing = routing_of g in
-      let f = 2 in
-      Tolerance.exhaustive ~engine:Tolerance.Sliced routing ~f
-      = Tolerance.exhaustive ~engine:Tolerance.Scalar routing ~f
-      && Tolerance.exhaustive_edges ~engine:Tolerance.Sliced routing ~f
-         = Tolerance.exhaustive_edges ~engine:Tolerance.Scalar routing ~f)
+      let compiled = Surviving.compile routing in
+      List.for_all
+        (fun (universe, size, oracle) ->
+          let sets = List.concat (canonical_blocks ~n:size ~f) in
+          let worst, witness =
+            List.fold_left
+              (fun (w, ws) s ->
+                let d = oracle s in
+                if Metrics.distance_le d w then (w, ws) else (d, s))
+              (Metrics.Finite (-1), [])
+              sets
+          in
+          List.for_all
+            (fun jobs ->
+              match universe with
+              | `Nodes ->
+                  let v = Tolerance.exhaustive ~jobs routing ~f in
+                  v.Tolerance.worst = worst && v.Tolerance.witness = witness
+                  && v.Tolerance.sets_checked = List.length sets
+              | `Edges ->
+                  let v = Tolerance.exhaustive_edges ~jobs routing ~f in
+                  v.Tolerance.e_worst = worst
+                  && v.Tolerance.e_witness = List.map (Surviving.edge_pair compiled) witness
+                  && v.Tolerance.e_sets_checked = List.length sets)
+            [ 1; 3 ])
+        (universe_oracles g routing))
+
+(* certify / certify_edges against a per-block brute force that stops
+   each block at its first violating set: holds, the first
+   counterexample, [cert_sets_checked], and the early-exit block
+   count. *)
+let prop_certify_matches_canonical =
+  let module Obs = Ftr_obs.Obs in
+  let early = Obs.counter "tolerance.certify.early_exit_blocks" in
+  QCheck.Test.make ~name:"certify = canonical brute force" ~count:25 arb_small_instance
+    (fun (g, f, bound) ->
+      assume_not_complete g;
+      let routing = routing_of g in
+      let compiled = Surviving.compile routing in
+      List.for_all
+        (fun (universe, size, oracle) ->
+          let exceeds s = not (Metrics.distance_le (oracle s) (Metrics.Finite bound)) in
+          let checked, blocks_hit, cex =
+            List.fold_left
+              (fun (checked, hit, cex) block ->
+                let rec walk i = function
+                  | [] -> (checked + i, hit, cex)
+                  | s :: rest ->
+                      if exceeds s then
+                        (checked + i + 1, hit + 1, if cex = None then Some s else cex)
+                      else walk (i + 1) rest
+                in
+                walk 0 block)
+              (0, 0, None)
+              (canonical_blocks ~n:size ~f)
+          in
+          List.for_all
+            (fun jobs ->
+              Obs.reset ();
+              Obs.set_enabled true;
+              let holds, counterexample, sets =
+                match universe with
+                | `Nodes ->
+                    let c = Tolerance.certify ~jobs routing ~f ~bound in
+                    ( c.Tolerance.holds,
+                      c.Tolerance.counterexample,
+                      c.Tolerance.cert_sets_checked )
+                | `Edges ->
+                    let c = Tolerance.certify_edges ~jobs routing ~f ~bound in
+                    ( c.Tolerance.e_holds,
+                      Option.map
+                        (List.map (fun (u, v) -> Option.get (Surviving.edge_id compiled u v)))
+                        c.Tolerance.e_counterexample,
+                      c.Tolerance.e_cert_sets_checked )
+              in
+              let early_blocks = Obs.value early in
+              Obs.set_enabled false;
+              Obs.reset ();
+              holds = (cex = None) && counterexample = cex && sets = checked
+              && early_blocks = blocks_hit)
+            [ 1; 3 ])
+        (universe_oracles g routing))
 
 (* Bit-identical verdicts AND byte-identical Obs counter JSON for the
    sliced path at jobs=1 vs jobs=8, across the full quick table (both
@@ -764,7 +920,10 @@ let () =
               test_certify_counterexample_violates;
           ] );
       ( "sliced",
-        qcheck [ prop_sliced_lanes_match_scalar; prop_exhaustive_engines_agree ]
+        qcheck
+          (List.map prop_sliced_lanes_match_oracle
+             [ (`Nodes, "node"); (`Edges, "edge"); (`Mixed, "mixed") ]
+          @ [ prop_exhaustive_matches_canonical; prop_certify_matches_canonical ])
         @ [
             Alcotest.test_case "jobs1 = jobs8 verdicts and counters" `Quick
               test_sliced_jobs_counters_identical;

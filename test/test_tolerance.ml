@@ -184,6 +184,104 @@ let test_sampled_jobs_independent () =
         a.Tolerance.sv_witness_pair b.Tolerance.sv_witness_pair)
     [ (Kernel.make (Families.torus 4 4) ~t:3).Construction.routing; star_routing () ]
 
+(* An enumeration too large to count fails loudly instead of running
+   on wrapped-around block sizes. *)
+let test_exhaustive_rejects_overflow () =
+  let r = edge_routing (Families.cycle 100) in
+  Alcotest.check_raises "C(100, <=50) overflows"
+    (Invalid_argument
+       "Tolerance: the fault sets of size <= 50 over 100 elements overflow an int")
+    (fun () -> ignore (Tolerance.exhaustive r ~f:50))
+
+(* An independent sequential [sampled]: the same draws from the rng
+   and the same candidate order, but every probe gets a fresh fault
+   bitset, so nothing one probe does can leak into the next. *)
+let sampled_reference ?(pools = []) routing ~f ~bound ~rng ~sets ~pairs =
+  let g = Routing.graph routing in
+  let n = Graph.n g in
+  let f = min f (n - 2) in
+  let pair_arr =
+    Array.init pairs (fun _ ->
+        let src = Random.State.int rng n in
+        let d = Random.State.int rng (n - 1) in
+        (src, if d >= src then d + 1 else d))
+  in
+  let prefix l = List.filteri (fun i _ -> i < f) l in
+  let endpoint_sets =
+    Array.to_list pair_arr
+    |> List.concat_map (fun (s, d) -> [ s; d ])
+    |> List.sort_uniq Int.compare
+    |> List.map (fun v -> prefix (Array.to_list (Graph.neighbors g v)))
+  in
+  let pool_sets = List.map (fun p -> prefix (List.sort_uniq Int.compare p)) pools in
+  (* Floyd's algorithm, as [Tolerance.random_subset] draws it. *)
+  let floyd () =
+    let chosen = ref [] in
+    for j = n - f to n - 1 do
+      let r = Random.State.int rng (j + 1) in
+      chosen := (if List.mem r !chosen then j else r) :: !chosen
+    done;
+    List.sort Int.compare !chosen
+  in
+  let random_sets = List.init sets (fun _ -> floyd ()) in
+  let candidates =
+    List.fold_left
+      (fun acc s -> if List.mem s acc then acc else s :: acc)
+      []
+      (List.map (List.sort_uniq Int.compare) (([] :: endpoint_sets) @ pool_sets @ random_sets))
+    |> List.rev
+  in
+  let worst = ref (Metrics.Finite (-1)) and wf = ref [] and wp = ref None and probed = ref 0 in
+  List.iter
+    (fun set ->
+      Array.iter
+        (fun (src, dst) ->
+          let faults = Bitset.of_list n set in
+          if not (Bitset.mem faults src || Bitset.mem faults dst) then begin
+            incr probed;
+            let d =
+              Surviving.probe_distance routing ~faults ~src ~dst ~bound ~budget:((2 * n) + 1)
+            in
+            if not (Metrics.distance_le d !worst) then begin
+              worst := d;
+              wf := set;
+              wp := Some (src, dst)
+            end
+          end)
+        pair_arr)
+    candidates;
+  let holds = Metrics.distance_le !worst (Metrics.Finite bound) in
+  (holds, !worst, !wf, !wp, List.length candidates, !probed)
+
+(* Every [Par.chunk] task must start from an empty fault bitset, even
+   on a domain whose previous task left one loaded. The chunks are cut
+   by the candidate count alone, so jobs=1 runs the same tasks in a
+   row on one bitset and a leak shows without any scheduling luck. *)
+let test_sampled_matches_reference () =
+  let routing = (Kernel.make (Families.torus 5 5) ~t:3).Construction.routing in
+  let pools = [ [ 0; 1; 2; 5 ]; [ 12; 7; 13 ] ] in
+  let rng () = Random.State.make [| 11 |] in
+  (* 40 pairs cut chunks mid-set; 2 pairs over at most 16 sets make
+     every chunk one probe, so chunks also end exactly on a set. *)
+  List.iter (fun (sets, pairs) ->
+  let holds, worst, wf, wp, nsets, probed =
+    sampled_reference ~pools routing ~f:3 ~bound:3 ~rng:(rng ()) ~sets ~pairs
+  in
+  List.iter
+    (fun jobs ->
+      let v =
+        Tolerance.sampled ~jobs ~pools routing ~f:3 ~bound:3 ~rng:(rng ()) ~sets ~pairs
+      in
+      let label what = Printf.sprintf "pairs=%d jobs=%d %s" pairs jobs what in
+      Alcotest.(check bool) (label "holds") holds v.Tolerance.sv_holds;
+      Alcotest.check distance (label "worst") worst v.Tolerance.sv_worst;
+      Alcotest.(check (list int)) (label "witness") wf v.Tolerance.sv_witness_faults;
+      Alcotest.(check (option (pair int int))) (label "pair") wp v.Tolerance.sv_witness_pair;
+      Alcotest.(check int) (label "sets") nsets v.Tolerance.sv_sets_checked;
+      Alcotest.(check int) (label "pairs probed") probed v.Tolerance.sv_pairs_checked)
+    [ 1; 4 ])
+  [ (32, 40); (8, 2) ]
+
 let () =
   Alcotest.run "tolerance"
     [
@@ -194,6 +292,8 @@ let () =
           Alcotest.test_case "count_subsets" `Quick test_count_subsets;
           Alcotest.test_case "exhaustive cycle" `Quick test_exhaustive_cycle;
           Alcotest.test_case "exhaustive disconnection" `Quick test_exhaustive_finds_disconnection;
+          Alcotest.test_case "exhaustive overflow rejected" `Quick
+            test_exhaustive_rejects_overflow;
           Alcotest.test_case "random reproducible" `Quick test_random_reproducible;
           Alcotest.test_case "adversarial pools" `Quick test_adversarial_pools;
           Alcotest.test_case "adversarial cap" `Quick test_adversarial_cap;
@@ -211,5 +311,7 @@ let () =
             test_sampled_accepts_strong_routing;
           Alcotest.test_case "jobs-independent" `Quick
             test_sampled_jobs_independent;
+          Alcotest.test_case "= fresh-bitset reference" `Quick
+            test_sampled_matches_reference;
         ] );
     ]
